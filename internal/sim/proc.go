@@ -12,69 +12,112 @@ import (
 // result — exactly the shape of the Mantis agent's dialogue loop and of
 // a legacy control-plane application. Proc provides blocking-style
 // execution on top of the event queue: the process body runs in its own
-// goroutine, but control strictly alternates between the simulator and
-// at most one runnable process, so execution remains deterministic.
+// goroutine, and exactly one goroutine — Run's caller or one process —
+// holds control at a time, so execution remains deterministic.
+//
+// Scheduling is run-to-block. A process that blocks schedules its
+// wakeup and runs the event loop itself, on its own goroutine. If the
+// next wakeup is its own it simply returns, with no goroutine switch; if
+// it belongs to another process, control passes straight to that
+// process's goroutine (one switch); if the bound of the current Run is
+// reached, control goes back to Run's caller. Events still execute one
+// at a time in (time, sequence) order, so virtual time does not depend
+// on which goroutine runs them.
 //
 // A Proc may only interact with the simulation between Spawn and the
-// return of its body, and must block only via Sleep/WaitUntil.
+// return of its body, and must block only via Sleep, WaitUntil, Yield or
+// Park.
 type Proc struct {
 	sim  *Simulator
 	name string
-	// resume wakes the process goroutine; yield returns control to the
-	// simulator goroutine.
+	// body is the process function until its goroutine starts; resume
+	// gives the goroutine control after that.
+	body   func(p *Proc)
 	resume chan struct{}
-	yield  chan struct{}
-	// handoffFn is the handoff method value, bound once at Spawn so the
-	// steady-state Sleep/Unpark path does not allocate a fresh closure
-	// per scheduling (method values capture the receiver on the heap).
-	handoffFn func()
-	done      bool
+	done   bool
 }
 
 // Spawn starts fn as a simulated process at the current virtual time.
-// fn begins executing when the scheduler reaches the spawn event.
+// fn begins executing on its own goroutine when the scheduler reaches
+// the process's first wakeup, queued behind already-scheduled events at
+// this instant.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		sim:    s,
 		name:   name,
+		body:   fn,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
-	p.handoffFn = p.handoff
-	s.Schedule(0, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			p.yield <- struct{}{}
-		}()
-		p.handoff()
-	})
+	s.wakeAt(s.now, p)
 	return p
 }
 
-// handoff transfers control from the simulator goroutine to the process
-// goroutine and waits for it to block or finish. Must be called from
-// the simulator goroutine (inside an event).
-func (p *Proc) handoff() {
-	p.resume <- struct{}{}
-	<-p.yield
+// main is the process goroutine. After the body returns it keeps
+// running the event loop until control can go to another goroutine.
+func (p *Proc) main(body func(p *Proc)) {
+	exited := false
+	defer func() {
+		if exited {
+			return
+		}
+		if r := recover(); r != nil {
+			panic(r)
+		}
+		// The body, or an event run on this goroutine, called
+		// runtime.Goexit (t.FailNow in a test). Run's caller exits the
+		// same way instead of waiting for control forever.
+		p.sim.goexit = true
+		p.sim.idle <- struct{}{}
+	}()
+	body(p)
+	p.done = true
+	p.pass(p.sim.next())
+	exited = true
 }
 
-// block transfers control from the process goroutine back to the
-// simulator and waits to be resumed. Must be called from the process
-// goroutine.
-func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+// handoff gives control to p's goroutine, starting it on its first
+// wakeup. The caller must then block or exit.
+func (p *Proc) handoff() {
+	if p.done {
+		panic(fmt.Sprintf("sim: wakeup of finished proc %q", p.name))
+	}
+	if body := p.body; body != nil {
+		p.body = nil
+		go p.main(body)
+		return
+	}
+	p.resume <- struct{}{}
+}
+
+// pass gives control from p's goroutine to next's, or back to Run's
+// caller when next is nil.
+func (p *Proc) pass(next *Proc) {
+	if next == nil {
+		p.sim.idle <- struct{}{}
+		return
+	}
+	next.handoff()
+}
+
+// block waits until p's goroutine is given control.
+func (p *Proc) block() { <-p.resume }
+
+// suspend runs the event loop on p's goroutine until p's own wakeup
+// comes up. If control must go elsewhere first, p passes it on and
+// blocks until a goroutine reaches p's wakeup and hands control back.
+func (p *Proc) suspend() {
+	if next := p.sim.next(); next != p {
+		p.pass(next)
+		p.block()
+	}
 }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.Now() }
 
 // Sim returns the underlying simulator. Scheduling events from within a
-// running process is safe: the simulator goroutine is parked while the
-// process runs.
+// running process is safe: the process holds control, so no other
+// goroutine touches the simulator until it blocks.
 func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Sleep suspends the process for d of virtual time. Other events (data
@@ -86,8 +129,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		d = 0
 	}
-	p.sim.Schedule(d, p.handoffFn)
-	p.block()
+	p.sim.wakeAt(p.sim.now.Add(d), p)
+	p.suspend()
 }
 
 // WaitUntil suspends the process until the absolute virtual time t. If
@@ -104,9 +147,10 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Park suspends the process indefinitely, until some other component —
 // an event or another process — calls Unpark. Unlike Sleep, no wakeup
-// is scheduled: a parked process consumes no events and the simulation
-// may drain and finish around it (its goroutine is reclaimed at process
-// exit only if it is eventually unparked).
+// is scheduled: the process runs the event loop until control must go
+// elsewhere, then blocks. A parked process consumes no events and the
+// simulation may drain and finish around it (its goroutine is reclaimed
+// at process exit only if it is eventually unparked).
 //
 // Park/Unpark is the blocking primitive service-style components are
 // built from: a dispatcher parks while its queues are empty, and a
@@ -119,11 +163,11 @@ func (p *Proc) Park() {
 	if p.done {
 		panic(fmt.Sprintf("sim: Park on finished proc %q", p.name))
 	}
-	p.block()
+	p.suspend()
 }
 
 // Unpark schedules a parked process to resume at the current virtual
 // time (after already-queued same-time events). It must be called from
 // simulator context: inside an event callback or from another running
 // process.
-func (p *Proc) Unpark() { p.sim.Schedule(0, p.handoffFn) }
+func (p *Proc) Unpark() { p.sim.wakeAt(p.sim.now, p) }

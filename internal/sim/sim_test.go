@@ -64,6 +64,78 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// assertDrained checks that every event struct is back on the freelist
+// and none is still marked cancelled.
+func assertDrained(t *testing.T, s *Simulator) {
+	t.Helper()
+	if len(s.free) != len(s.events) {
+		t.Errorf("%d of %d event structs not released", len(s.events)-len(s.free), len(s.events))
+	}
+	for _, e := range s.events {
+		if e.cancelled {
+			t.Errorf("released event slot %d still marked cancelled", uint32(e.id))
+		}
+	}
+}
+
+func TestCancelStaleIDAfterReuse(t *testing.T) {
+	s := New(1)
+	stale := s.Schedule(Nanosecond, func() {})
+	s.Run()
+	ran := false
+	fresh := s.Schedule(Nanosecond, func() { ran = true })
+	if uint32(fresh) != uint32(stale) {
+		t.Fatalf("event struct not reused: slots %d and %d", uint32(stale), uint32(fresh))
+	}
+	s.Cancel(stale)
+	s.Cancel(0)
+	s.Run()
+	if !ran {
+		t.Fatal("stale EventID cancelled the event that reused its struct")
+	}
+	assertDrained(t, s)
+}
+
+func TestCancelledEventReleased(t *testing.T) {
+	s := New(1)
+	id := s.Schedule(Nanosecond, func() { t.Error("cancelled event ran") })
+	s.Cancel(id)
+	s.Cancel(id)
+	s.Run()
+	if s.Executed() != 0 {
+		t.Fatalf("executed = %d, want 0", s.Executed())
+	}
+	assertDrained(t, s)
+}
+
+func TestRunReentryPanics(t *testing.T) {
+	s := New(1)
+	reentries := 0
+	try := func(run func()) {
+		defer func() {
+			if r := recover(); r != nil {
+				reentries++
+			}
+		}()
+		run()
+	}
+	s.Schedule(0, func() { try(s.Run) })
+	s.Spawn("p", func(p *Proc) {
+		try(func() { s.RunUntil(Time(5)) })
+		p.Sleep(Nanosecond)
+		try(func() { s.RunFor(Nanosecond) })
+	})
+	s.Run()
+	if reentries != 3 {
+		t.Fatalf("%d of 3 re-entrant runs panicked", reentries)
+	}
+	s.Schedule(0, func() {})
+	s.Run() // the simulator is still usable from the top level
+	if s.Executed() != 4 {
+		t.Fatalf("executed = %d, want 4", s.Executed())
+	}
+}
+
 func TestRunUntilAdvancesClock(t *testing.T) {
 	s := New(1)
 	s.Schedule(100*Nanosecond, func() {})
@@ -104,6 +176,9 @@ func TestTickerStop(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("ticks after stop = %d, want 3", n)
 	}
+	// Stop ran inside the tick whose event had already been released:
+	// cancelling its stale ID must leave nothing behind.
+	assertDrained(t, s)
 }
 
 func TestTickerZeroPeriodPanics(t *testing.T) {
