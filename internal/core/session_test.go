@@ -63,8 +63,8 @@ func buildSessionRig(t testing.TB, src string, prof faults.Profile, seed int64, 
 		t.Fatalf("session agent: %v", err)
 	}
 	return &sessionRig{
-		rig:  rig{sim: s, sw: sw, drv: drv, plan: plan, agent: agent},
-		inj:  inj, svc: svc, sess: sess,
+		rig: rig{sim: s, sw: sw, drv: drv, plan: plan, agent: agent},
+		inj: inj, svc: svc, sess: sess,
 	}
 }
 

@@ -31,6 +31,24 @@ type FieldMap struct {
 	ECN string
 }
 
+// ipFields is the Src/Dst/Proto part of a FieldMap resolved against
+// one schema, so per-packet code stamps headers with Set instead of
+// looking names up.
+type ipFields struct{ src, dst, proto packet.FieldID }
+
+// resolveIP resolves fm's address and protocol fields in s, panicking
+// on a name s does not define: a bad FieldMap fails at setup.
+func resolveIP(s *packet.Schema, fm FieldMap) ipFields {
+	return ipFields{s.MustID(fm.Src), s.MustID(fm.Dst), s.MustID(fm.Proto)}
+}
+
+// stamp sets pkt's address and protocol fields.
+func (f ipFields) stamp(pkt *packet.Packet, src, dst uint32, proto uint64) {
+	pkt.Set(f.src, uint64(src))
+	pkt.Set(f.dst, uint64(dst))
+	pkt.Set(f.proto, proto)
+}
+
 // Protocol numbers used in traces.
 const (
 	ProtoTCP = 6
@@ -46,6 +64,9 @@ type Host struct {
 	Rx func(pkt *packet.Packet)
 	// linkBusyUntil paces the host's uplink.
 	linkBusyUntil sim.Time
+	// injectFn and rxFn are inject and rx bound once, so the
+	// per-packet link events schedule without allocating a closure.
+	injectFn, rxFn func(any)
 }
 
 // Network wires hosts to a switch.
@@ -84,7 +105,7 @@ func New(s *sim.Simulator, sw *rmt.Switch, linkBW float64, prop time.Duration) *
 	sw.Tx = func(portN int, pkt *packet.Packet) {
 		if h, ok := n.hosts[portN]; ok {
 			if h.Rx != nil {
-				s.Schedule(prop, func() { h.Rx(pkt) })
+				s.ScheduleCall(prop, h.rxFn, pkt)
 			}
 			return
 		}
@@ -103,6 +124,7 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // AddHost attaches a host to a switch port.
 func (n *Network) AddHost(port int, addr uint32) *Host {
 	h := &Host{net: n, Port: port, Addr: addr}
+	h.injectFn, h.rxFn = h.inject, h.rx
 	n.hosts[port] = h
 	return h
 }
@@ -126,8 +148,14 @@ func (h *Host) Send(pkt *packet.Packet) {
 	done := start.Add(ser)
 	h.linkBusyUntil = done
 	arrive := done.Add(h.net.Propagation)
-	h.net.Sim.At(arrive, func() { h.net.Sw.Inject(h.Port, pkt) })
+	h.net.Sim.AtCall(arrive, h.injectFn, pkt)
 }
+
+// inject hands a packet that finished crossing the uplink to the switch.
+func (h *Host) inject(arg any) { h.net.Sw.Inject(h.Port, arg.(*packet.Packet)) }
+
+// rx delivers a packet that finished crossing the downlink.
+func (h *Host) rx(arg any) { h.Rx(arg.(*packet.Packet)) }
 
 // ---- UDP flooder ----
 
@@ -135,7 +163,7 @@ func (h *Host) Send(pkt *packet.Packet) {
 // DPDK-blaster stand-in of Fig. 15.
 type Flooder struct {
 	host   *Host
-	fm     FieldMap
+	fields ipFields
 	schema *packet.Schema
 	Dst    uint32
 	Rate   float64 // bits per second
@@ -144,9 +172,10 @@ type Flooder struct {
 	Sent   uint64
 }
 
-// NewFlooder creates a flooder on h targeting dst at rate bps.
+// NewFlooder creates a flooder on h targeting dst at rate bps. It
+// panics if fm's Src, Dst or Proto names a field schema lacks.
 func NewFlooder(h *Host, schema *packet.Schema, fm FieldMap, dst uint32, rate float64, size int) *Flooder {
-	return &Flooder{host: h, fm: fm, schema: schema, Dst: dst, Rate: rate, Size: size}
+	return &Flooder{host: h, fields: resolveIP(schema, fm), schema: schema, Dst: dst, Rate: rate, Size: size}
 }
 
 // Start begins flooding at the configured rate.
@@ -158,9 +187,7 @@ func (f *Flooder) Start() {
 	f.ticker = f.host.net.Sim.Every(interval, func() {
 		pkt := f.schema.New()
 		pkt.Size = f.Size
-		pkt.SetName(f.fm.Src, uint64(f.host.Addr))
-		pkt.SetName(f.fm.Dst, uint64(f.Dst))
-		pkt.SetName(f.fm.Proto, ProtoUDP)
+		f.fields.stamp(pkt, f.host.Addr, f.Dst, ProtoUDP)
 		f.host.Send(pkt)
 		f.Sent++
 	})
@@ -180,7 +207,7 @@ func (f *Flooder) Stop() {
 type Heartbeater struct {
 	host   *Host
 	schema *packet.Schema
-	fm     FieldMap
+	fields ipFields
 	Dst    uint32
 	Period time.Duration
 	ticker *sim.Ticker
@@ -190,9 +217,10 @@ type Heartbeater struct {
 	Enabled bool
 }
 
-// NewHeartbeater creates a heartbeat source on h.
+// NewHeartbeater creates a heartbeat source on h. It panics if fm's
+// Src, Dst or Proto names a field schema lacks.
 func NewHeartbeater(h *Host, schema *packet.Schema, fm FieldMap, dst uint32, period time.Duration) *Heartbeater {
-	return &Heartbeater{host: h, schema: schema, fm: fm, Dst: dst, Period: period, Enabled: true}
+	return &Heartbeater{host: h, schema: schema, fields: resolveIP(schema, fm), Dst: dst, Period: period, Enabled: true}
 }
 
 // Start begins emitting heartbeats.
@@ -204,9 +232,7 @@ func (hb *Heartbeater) Start() {
 		pkt := hb.schema.New()
 		pkt.Size = 64
 		pkt.Priority = 7
-		pkt.SetName(hb.fm.Src, uint64(hb.host.Addr))
-		pkt.SetName(hb.fm.Dst, uint64(hb.Dst))
-		pkt.SetName(hb.fm.Proto, 0xFD) // heartbeat protocol tag
+		hb.fields.stamp(pkt, hb.host.Addr, hb.Dst, 0xFD) // heartbeat protocol tag
 		hb.host.Send(pkt)
 		hb.Sent++
 	})

@@ -47,6 +47,11 @@ type TCPFlow struct {
 	fm     FieldMap
 	schema *packet.Schema
 	dst    uint32
+	// fields is fm resolved in schema. A segment that crossed a trunk
+	// arrives re-serialized in another switch's schema; rxFields holds
+	// fm resolved in each such schema, on first arrival.
+	fields   tcpFields
+	rxFields []schemaFields
 
 	nextSeq    uint64 // next new segment to send
 	highestAck uint64 // all segments < highestAck are delivered
@@ -70,6 +75,12 @@ type TCPFlow struct {
 	// pacing state
 	nextSendAt  sim.Time
 	pumpPending bool
+	// rtoAsOf is lastProgress when the pending RTO check was armed;
+	// one check is pending at a time.
+	rtoAsOf sim.Time
+	// resumeFn and checkRTOFn are bound once, so pacing and RTO
+	// timers schedule without allocating a closure.
+	resumeFn, checkRTOFn func()
 
 	// receiver state
 	rcvNext uint64          // next expected seq
@@ -85,17 +96,63 @@ type TCPFlow struct {
 	OnDeliver func(at sim.Time, bytes int)
 }
 
+// tcpFields is a FieldMap resolved against one schema.
+type tcpFields struct {
+	ipFields
+	seq, ack, isAck packet.FieldID
+	ecn             packet.FieldID // packet.Invalid when the FieldMap has no ECN
+}
+
+// schemaFields pairs a schema with the FieldMap resolved in it.
+type schemaFields struct {
+	schema *packet.Schema
+	tcpFields
+}
+
+// resolveTCP resolves every field a TCP segment carries, panicking on a
+// name s does not define.
+func resolveTCP(s *packet.Schema, fm FieldMap) tcpFields {
+	f := tcpFields{
+		ipFields: resolveIP(s, fm),
+		seq:      s.MustID(fm.Seq),
+		ack:      s.MustID(fm.Ack),
+		isAck:    s.MustID(fm.IsAck),
+		ecn:      packet.Invalid,
+	}
+	if fm.ECN != "" {
+		f.ecn = s.MustID(fm.ECN)
+	}
+	return f
+}
+
 // NewTCPFlow wires a flow from sender toward dst. Data packets carry
-// the flow in Payload; endpoints dispatch via HandlePacket.
+// the flow in Payload; endpoints dispatch via HandlePacket. It panics
+// if fm names a field schema lacks (ECN may be empty).
 func NewTCPFlow(sender *Host, schema *packet.Schema, fm FieldMap, dst uint32, cfg TCPConfig) *TCPFlow {
 	if cfg.DCTCPGain == 0 {
 		cfg.DCTCPGain = 1.0 / 16
 	}
-	return &TCPFlow{
+	f := &TCPFlow{
 		cfg: cfg, sender: sender, fm: fm, schema: schema, dst: dst,
-		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd,
+		fields: resolveTCP(schema, fm), cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd,
 		rcvBuf: make(map[uint64]bool),
 	}
+	f.resumeFn, f.checkRTOFn = f.resume, f.checkRTO
+	return f
+}
+
+// fieldsIn returns the flow's fields resolved in s.
+func (f *TCPFlow) fieldsIn(s *packet.Schema) *tcpFields {
+	if s == f.schema {
+		return &f.fields
+	}
+	for i := range f.rxFields {
+		if f.rxFields[i].schema == s {
+			return &f.rxFields[i].tcpFields
+		}
+	}
+	f.rxFields = append(f.rxFields, schemaFields{s, resolveTCP(s, f.fm)})
+	return &f.rxFields[len(f.rxFields)-1].tcpFields
 }
 
 // Start opens the flow and sends the initial window.
@@ -114,11 +171,9 @@ func (f *TCPFlow) outstanding() float64 { return float64(f.nextSeq - f.highestAc
 func (f *TCPFlow) sendSegment(seq uint64, retx bool) {
 	pkt := f.schema.New()
 	pkt.Size = f.cfg.MSS
-	pkt.SetName(f.fm.Src, uint64(f.sender.Addr))
-	pkt.SetName(f.fm.Dst, uint64(f.dst))
-	pkt.SetName(f.fm.Proto, ProtoTCP)
-	pkt.SetName(f.fm.Seq, seq)
-	pkt.SetName(f.fm.IsAck, 0)
+	f.fields.stamp(pkt, f.sender.Addr, f.dst, ProtoTCP)
+	pkt.Set(f.fields.seq, seq)
+	pkt.Set(f.fields.isAck, 0)
 	pkt.Payload = f
 	if retx {
 		f.Retransmits++
@@ -145,10 +200,7 @@ func (f *TCPFlow) pump() {
 			// Pacing-blocked with window open: resume at the token time.
 			if !f.pumpPending {
 				f.pumpPending = true
-				f.sender.net.Sim.At(f.nextSendAt, func() {
-					f.pumpPending = false
-					f.pump()
-				})
+				f.sender.net.Sim.At(f.nextSendAt, f.resumeFn)
 			}
 			return
 		}
@@ -164,16 +216,22 @@ func (f *TCPFlow) pump() {
 	}
 }
 
-func (f *TCPFlow) armRTO() {
-	asOf := f.lastProgress
-	f.sender.net.Sim.Schedule(f.cfg.RTO, func() { f.checkRTO(asOf) })
+// resume is the paced pump's wakeup at its token time.
+func (f *TCPFlow) resume() {
+	f.pumpPending = false
+	f.pump()
 }
 
-func (f *TCPFlow) checkRTO(asOf sim.Time) {
+func (f *TCPFlow) armRTO() {
+	f.rtoAsOf = f.lastProgress
+	f.sender.net.Sim.Schedule(f.cfg.RTO, f.checkRTOFn)
+}
+
+func (f *TCPFlow) checkRTO() {
 	if f.stopped {
 		return
 	}
-	if f.lastProgress > asOf || f.outstanding() == 0 {
+	if f.lastProgress > f.rtoAsOf || f.outstanding() == 0 {
 		f.armRTO()
 		return
 	}
@@ -198,16 +256,17 @@ func (f *TCPFlow) checkRTO(asOf sim.Time) {
 // HandlePacket processes a packet belonging to this flow at either
 // endpoint: the receiving host for data, the sending host for ACKs.
 func (f *TCPFlow) HandlePacket(pkt *packet.Packet, receiver *Host) {
-	if pkt.GetName(f.fm.IsAck) == 1 {
-		marked := f.fm.ECN != "" && pkt.GetName(f.fm.ECN) == 1
-		f.onAck(pkt.GetName(f.fm.Ack), marked)
+	in := f.fieldsIn(pkt.Schema())
+	if pkt.Get(in.isAck) == 1 {
+		marked := in.ecn != packet.Invalid && pkt.Get(in.ecn) == 1
+		f.onAck(pkt.Get(in.ack), marked)
 		return
 	}
-	f.onData(pkt, receiver)
+	f.onData(pkt, in, receiver)
 }
 
-func (f *TCPFlow) onData(pkt *packet.Packet, receiver *Host) {
-	seq := pkt.GetName(f.fm.Seq)
+func (f *TCPFlow) onData(pkt *packet.Packet, in *tcpFields, receiver *Host) {
+	seq := pkt.Get(in.seq)
 	if seq == f.rcvNext {
 		f.deliver(receiver)
 		f.rcvNext++
@@ -222,14 +281,12 @@ func (f *TCPFlow) onData(pkt *packet.Packet, receiver *Host) {
 	// Cumulative ACK (a duplicate ACK when data arrived out of order).
 	ack := f.schema.New()
 	ack.Size = f.cfg.AckSize
-	ack.SetName(f.fm.Src, uint64(f.dst))
-	ack.SetName(f.fm.Dst, uint64(f.sender.Addr))
-	ack.SetName(f.fm.Proto, ProtoTCP)
-	ack.SetName(f.fm.IsAck, 1)
-	ack.SetName(f.fm.Ack, f.rcvNext)
-	if f.fm.ECN != "" {
+	f.fields.stamp(ack, f.dst, f.sender.Addr, ProtoTCP)
+	ack.Set(f.fields.isAck, 1)
+	ack.Set(f.fields.ack, f.rcvNext)
+	if f.fields.ecn != packet.Invalid {
 		// Echo the congestion-experienced mark back to the sender.
-		ack.SetName(f.fm.ECN, pkt.GetName(f.fm.ECN))
+		ack.Set(f.fields.ecn, pkt.Get(in.ecn))
 	}
 	ack.Payload = f
 	receiver.Send(ack)

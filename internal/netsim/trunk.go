@@ -56,6 +56,9 @@ type Trunk struct {
 	// wire[side] re-serializes packets sent from side into the peer
 	// switch's schema.
 	wire [2]wireXlat
+	// deliverFn[side] is deliver bound once per sending side, so the
+	// per-packet delivery event schedules without allocating a closure.
+	deliverFn [2]func(any)
 
 	// Tap, if set, observes every delivered packet at its arrival
 	// instant, just before injection into the receiving switch. from is
@@ -111,6 +114,10 @@ func ConnectTrunk(a *Network, portA int, b *Network, portB int, delay time.Durat
 		rng:   rand.New(rand.NewSource(seed)),
 		ends:  [2]trunkEnd{{a, portA}, {b, portB}},
 		wire:  [2]wireXlat{newWireXlat(sa, sb), newWireXlat(sb, sa)},
+	}
+	t.deliverFn = [2]func(any){
+		func(arg any) { t.deliver(0, arg.(*packet.Packet)) },
+		func(arg any) { t.deliver(1, arg.(*packet.Packet)) },
 	}
 	a.trunks[portA] = &trunkAttach{trunk: t, side: 0}
 	b.trunks[portB] = &trunkAttach{trunk: t, side: 1}
@@ -195,15 +202,18 @@ func (t *Trunk) send(side int, pkt *packet.Packet) {
 	if t.prof.Jitter > 0 {
 		d += time.Duration(t.rng.Int63n(int64(t.prof.Jitter)))
 	}
+	t.sim.ScheduleCall(d, t.deliverFn[side], pkt)
+}
+
+// deliver hands pkt, sent from side, to the peer switch in its schema.
+func (t *Trunk) deliver(side int, pkt *packet.Packet) {
+	t.stats[side].Delivered++
+	out := t.wire[side].translate(pkt)
+	if t.Tap != nil {
+		t.Tap(side, out)
+	}
 	peer := t.ends[1-side]
-	t.sim.Schedule(d, func() {
-		st.Delivered++
-		out := t.wire[side].translate(pkt)
-		if t.Tap != nil {
-			t.Tap(side, out)
-		}
-		peer.net.Sw.Inject(peer.port, out)
-	})
+	peer.net.Sw.Inject(peer.port, out)
 }
 
 // ---- wire translation ----

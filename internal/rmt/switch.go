@@ -68,9 +68,13 @@ func DefaultConfig() Config {
 
 // Stats aggregates switch-level counters.
 type Stats struct {
-	RxPackets     uint64
-	TxPackets     uint64
-	IngressDrops  uint64 // dropped by a data-plane drop() action
+	RxPackets uint64
+	TxPackets uint64
+	// IngressDrops counts packets the switch discards outside the
+	// egress queues: a drop() action in the ingress or the egress
+	// pipeline, admission-overload drops when IngressCapacityPPS is
+	// set, and packets routed to an egress port out of range.
+	IngressDrops  uint64
 	QueueDrops    uint64 // tail drops at full egress queues
 	PortDownDrops uint64
 	Recirculated  uint64

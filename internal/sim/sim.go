@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,35 +54,14 @@ func (t Time) String() string { return time.Duration(t).String() }
 // paths schedule per-packet work without allocating a capturing
 // closure; combined with the simulator's event freelist the schedule
 // operation itself is allocation-free in steady state. An event with
-// neither is a process wakeup, and arg is the *Proc to resume.
+// neither is a process wakeup, and arg is the *Proc to resume. The
+// event's time and sequence number live in its queue entry.
 type event struct {
-	at        Time
-	seq       uint64 // tie-break so equal-time events run FIFO
 	fn        func()
 	afn       func(any)
 	arg       any
 	id        EventID
 	cancelled bool
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -147,9 +125,8 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) EventID {
 // error in simulation logic; it is clamped to "now" to keep the clock
 // monotonic, since a discrete-event clock must never run backwards.
 func (s *Simulator) At(t Time, fn func()) EventID {
-	e := s.newEvent(t)
+	e := s.push(t)
 	e.fn = fn
-	heap.Push(&s.queue, e)
 	return e.id
 }
 
@@ -167,22 +144,20 @@ func (s *Simulator) ScheduleCall(delay time.Duration, fn func(any), arg any) Eve
 // AtCall runs fn(arg) at the absolute virtual time t (clamped to now,
 // like At).
 func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
-	e := s.newEvent(t)
+	e := s.push(t)
 	e.afn, e.arg = fn, arg
-	heap.Push(&s.queue, e)
 	return e.id
 }
 
 // wakeAt schedules p's wakeup at t (clamped to now, like At).
 func (s *Simulator) wakeAt(t Time, p *Proc) {
-	e := s.newEvent(t)
-	e.arg = p
-	heap.Push(&s.queue, e)
+	s.push(t).arg = p
 }
 
-// newEvent takes an event from the freelist (or allocates one), stamps
-// it with the next sequence number, and clamps t to now.
-func (s *Simulator) newEvent(t Time) *event {
+// push takes an event from the freelist (or allocates one) and queues
+// it at t, clamped to now, with the next sequence number. The caller
+// fills in the callback.
+func (s *Simulator) push(t Time) *event {
 	if t < s.now {
 		t = s.now
 	}
@@ -195,7 +170,7 @@ func (s *Simulator) newEvent(t Time) *event {
 		e = &event{id: EventID(len(s.events)) | generation}
 		s.events = append(s.events, e)
 	}
-	e.at, e.seq = t, s.seq
+	s.queue.push(entry{at: t, seq: s.seq, e: e})
 	return e
 }
 
@@ -290,13 +265,14 @@ const yieldEvery = 1024
 // step pops the next event and runs it, unless it was cancelled or is a
 // process wakeup: a wakeup is returned for the caller to resume.
 func (s *Simulator) step() *Proc {
-	e := heap.Pop(&s.queue).(*event)
+	x := s.queue.pop()
+	e := x.e
 	if e.cancelled {
 		s.release(e)
 		return nil
 	}
-	if e.at > s.now {
-		s.now = e.at
+	if x.at > s.now {
+		s.now = x.at
 	}
 	s.executed++
 	if s.executed%yieldEvery == 0 {
@@ -325,6 +301,7 @@ func (s *Simulator) Every(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
 	t := &Ticker{sim: s, period: period, fn: fn}
+	t.tickFn = t.tick
 	t.arm()
 	return t
 }
@@ -336,18 +313,20 @@ type Ticker struct {
 	fn      func()
 	pending EventID
 	stopped bool
+	// tickFn is tick bound once, so re-arming does not allocate.
+	tickFn func()
 }
 
-func (t *Ticker) arm() {
-	t.pending = t.sim.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.pending = t.sim.Schedule(t.period, t.tickFn) }
+
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels all future ticks.

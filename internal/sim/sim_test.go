@@ -181,6 +181,21 @@ func TestTickerStop(t *testing.T) {
 	assertDrained(t, s)
 }
 
+// TestTickerRearmDoesNotAllocate: a tick re-arms with the callback
+// bound at Every, so a running ticker allocates nothing per period.
+func TestTickerRearmDoesNotAllocate(t *testing.T) {
+	s := New(1)
+	n := 0
+	s.Every(10*Nanosecond, func() { n++ })
+	s.RunFor(100 * Nanosecond)
+	if allocs := testing.AllocsPerRun(100, func() { s.RunFor(10 * Nanosecond) }); allocs != 0 {
+		t.Fatalf("%v allocs per tick, want 0", allocs)
+	}
+	if n != 10+101 {
+		t.Fatalf("ticks = %d, want %d", n, 10+101)
+	}
+}
+
 func TestTickerZeroPeriodPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
