@@ -290,15 +290,17 @@ func TestProcParkUnparkChain(t *testing.T) {
 
 // settledGoroutines yields until the goroutine count has held still for
 // a while, so process goroutines that earlier tests left exiting are
-// gone, and returns it.
+// gone, and returns it. The count must hold for 20ms of wall time as
+// well as 100 yields: on a loaded host the thread running an exiting
+// goroutine can stall for longer than 100 yields take.
 func settledGoroutines() int {
-	n, still := runtime.NumGoroutine(), 0
-	for i := 0; i < 100000 && still < 100; i++ {
+	n, still, since := runtime.NumGoroutine(), 0, time.Now()
+	for deadline := since.Add(5 * time.Second); time.Now().Before(deadline); {
 		runtime.Gosched()
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
+		if m := runtime.NumGoroutine(); m != n {
+			n, still, since = m, 0, time.Now()
+		} else if still++; still >= 100 && time.Since(since) >= 20*time.Millisecond {
+			break
 		}
 	}
 	return n

@@ -47,7 +47,6 @@ func (q *eventQueue) pop() entry {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = entry{} // drop the event pointer from the spare capacity
 	h = h[:n]
 	if n > 0 {
 		// Sift last down from the root: move the least child up while
