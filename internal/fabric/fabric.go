@@ -398,7 +398,7 @@ func (f *Fabric) startHeartbeats() {
 				continue
 			}
 			for l := range f.Leaves {
-				pkt := f.hbSchema.New()
+				pkt := spine.Net.NewPacket(f.hbSchema)
 				pkt.Size = 64
 				pkt.Priority = 7
 				pkt.Set(f.hbSrc, uint64(0x0AFE0000|uint32(sp)))

@@ -7,6 +7,17 @@
 // These stand in for the paper's testbed servers: Fig. 15's 250
 // legitimate TCP senders plus a DPDK UDP blaster, and Fig. 16's
 // heartbeat generators at T_s = 1 µs.
+//
+// Packet ownership. A packet lives for one traversal, and the Network
+// recycles it where that traversal ends. Generators take packets from
+// Network.NewPacket. A packet given to Host.Send, Trunk.Inject or the
+// Inject of a switch wired by New belongs to the network from then on:
+// the caller must not touch it again. The network returns it to its
+// pool after Host.Rx returns, when it reaches a host without Rx, when
+// the switch drops it, when it leaves a port with no peer, when a
+// trunk drops it, and once a trunk has translated it into the peer
+// switch's schema. Host.Rx and Trunk.Tap callbacks must therefore not
+// keep the packet after they return; they can Clone it.
 package netsim
 
 import (
@@ -60,7 +71,9 @@ type Host struct {
 	net  *Network
 	Port int
 	Addr uint32
-	// Rx is invoked for every packet delivered to this host.
+	// Rx is invoked for every packet delivered to this host. The
+	// packet is recycled when Rx returns: Rx must not keep it (it can
+	// keep a Clone).
 	Rx func(pkt *packet.Packet)
 	// linkBusyUntil paces the host's uplink.
 	linkBusyUntil sim.Time
@@ -81,6 +94,8 @@ type Network struct {
 	hosts  map[int]*Host        // by port
 	trunks map[int]*trunkAttach // by port
 	stats  NetworkStats
+	// pool recycles the packets of Sw's schema whose life ends here.
+	pool *packet.Pool
 }
 
 // NetworkStats counts network-level drop events.
@@ -95,17 +110,21 @@ type NetworkStats struct {
 // New wires a network around sw. It takes over sw.Tx: a transmitted
 // packet is delivered to the host on the egress port, carried over the
 // trunk attached there to a peer switch, or — with neither — dropped
-// and counted in Stats().DroppedNoPeer.
+// and counted in Stats().DroppedNoPeer. It also takes over sw.Discard,
+// so packets the switch drops return to the network's pool.
 func New(s *sim.Simulator, sw *rmt.Switch, linkBW float64, prop time.Duration) *Network {
 	n := &Network{
 		Sim: s, Sw: sw, LinkBandwidth: linkBW, Propagation: prop,
 		hosts:  make(map[int]*Host),
 		trunks: make(map[int]*trunkAttach),
+		pool:   packet.NewPool(sw.Program().Schema),
 	}
 	sw.Tx = func(portN int, pkt *packet.Packet) {
 		if h, ok := n.hosts[portN]; ok {
 			if h.Rx != nil {
 				s.ScheduleCall(prop, h.rxFn, pkt)
+			} else {
+				n.release(pkt)
 			}
 			return
 		}
@@ -114,8 +133,29 @@ func New(s *sim.Simulator, sw *rmt.Switch, linkBW float64, prop time.Duration) *
 			return
 		}
 		n.stats.DroppedNoPeer++
+		n.release(pkt)
 	}
+	sw.Discard = n.release
 	return n
+}
+
+// NewPacket returns a zeroed packet of schema s, owned by the caller
+// until it hands the packet to the network. Packets of the switch's
+// own schema come from the network's pool; any other schema (a flow
+// stamping a peer switch's layout) gets a fresh packet.
+func (n *Network) NewPacket(s *packet.Schema) *packet.Packet {
+	if s == n.pool.Schema() {
+		return n.pool.Get()
+	}
+	return s.New()
+}
+
+// release ends pkt's life in this network: a packet of the switch's
+// schema goes back to the pool, any other is left to the collector.
+func (n *Network) release(pkt *packet.Packet) {
+	if pkt.Schema() == n.pool.Schema() {
+		n.pool.Put(pkt)
+	}
 }
 
 // Stats returns the network's drop counters.
@@ -134,7 +174,8 @@ func (n *Network) Host(port int) *Host { return n.hosts[port] }
 
 // Send transmits a packet from the host into the switch, modeling
 // uplink serialization and propagation. Sends queue behind each other
-// on the host's link.
+// on the host's link. pkt belongs to the network from then on: the
+// caller must not touch it again.
 func (h *Host) Send(pkt *packet.Packet) {
 	now := h.net.Sim.Now()
 	start := now
@@ -154,8 +195,13 @@ func (h *Host) Send(pkt *packet.Packet) {
 // inject hands a packet that finished crossing the uplink to the switch.
 func (h *Host) inject(arg any) { h.net.Sw.Inject(h.Port, arg.(*packet.Packet)) }
 
-// rx delivers a packet that finished crossing the downlink.
-func (h *Host) rx(arg any) { h.Rx(arg.(*packet.Packet)) }
+// rx delivers a packet that finished crossing the downlink, then
+// recycles it.
+func (h *Host) rx(arg any) {
+	pkt := arg.(*packet.Packet)
+	h.Rx(pkt)
+	h.net.release(pkt)
+}
 
 // ---- UDP flooder ----
 
@@ -185,7 +231,7 @@ func (f *Flooder) Start() {
 		interval = time.Nanosecond
 	}
 	f.ticker = f.host.net.Sim.Every(interval, func() {
-		pkt := f.schema.New()
+		pkt := f.host.net.NewPacket(f.schema)
 		pkt.Size = f.Size
 		f.fields.stamp(pkt, f.host.Addr, f.Dst, ProtoUDP)
 		f.host.Send(pkt)
@@ -229,7 +275,7 @@ func (hb *Heartbeater) Start() {
 		if !hb.Enabled {
 			return
 		}
-		pkt := hb.schema.New()
+		pkt := hb.host.net.NewPacket(hb.schema)
 		pkt.Size = 64
 		pkt.Priority = 7
 		hb.fields.stamp(pkt, hb.host.Addr, hb.Dst, 0xFD) // heartbeat protocol tag

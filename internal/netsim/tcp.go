@@ -169,7 +169,7 @@ func (f *TCPFlow) Stop() { f.stopped = true }
 func (f *TCPFlow) outstanding() float64 { return float64(f.nextSeq - f.highestAck) }
 
 func (f *TCPFlow) sendSegment(seq uint64, retx bool) {
-	pkt := f.schema.New()
+	pkt := f.sender.net.NewPacket(f.schema)
 	pkt.Size = f.cfg.MSS
 	f.fields.stamp(pkt, f.sender.Addr, f.dst, ProtoTCP)
 	pkt.Set(f.fields.seq, seq)
@@ -279,7 +279,7 @@ func (f *TCPFlow) onData(pkt *packet.Packet, in *tcpFields, receiver *Host) {
 		f.rcvBuf[seq] = true
 	}
 	// Cumulative ACK (a duplicate ACK when data arrived out of order).
-	ack := f.schema.New()
+	ack := receiver.net.NewPacket(f.schema)
 	ack.Size = f.cfg.AckSize
 	f.fields.stamp(ack, f.dst, f.sender.Addr, ProtoTCP)
 	ack.Set(f.fields.isAck, 1)

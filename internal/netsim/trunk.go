@@ -63,7 +63,8 @@ type Trunk struct {
 	// Tap, if set, observes every delivered packet at its arrival
 	// instant, just before injection into the receiving switch. from is
 	// the sending side (0 or 1). Experiments use it to meter what a
-	// trunk actually carries.
+	// trunk actually carries. The packet goes on to the peer switch and
+	// is recycled there: Tap must not keep it (it can keep a Clone).
 	Tap func(from int, pkt *packet.Packet)
 }
 
@@ -173,46 +174,49 @@ func (t *Trunk) End(side int) (*Network, int) { return t.ends[side].net, t.ends[
 // liveness heartbeats emitted by the port hardware rather than the
 // forwarding pipeline). The packet must already be in side's schema; it
 // rides the same fault path as routed traffic, so probes see exactly
-// the drops data packets would.
+// the drops data packets would. pkt belongs to the trunk from then on:
+// take it from side's Network.NewPacket and do not touch it again.
 func (t *Trunk) Inject(side int, pkt *packet.Packet) { t.send(side, pkt) }
 
 // send carries pkt from side toward its peer, applying the fault
-// profile. Called from the sending switch's Tx path.
+// profile. Called from the sending switch's Tx path. A dropped packet
+// returns to the sending network's pool.
 func (t *Trunk) send(side int, pkt *packet.Packet) {
 	st := &t.stats[side]
 	st.Sent++
 	now := t.sim.Now()
-	if t.admin {
+	switch {
+	case t.admin:
 		st.AdminDownDrops++
-		return
-	}
-	if t.forced || t.prof.Partitioned(now) {
+	case t.forced || t.prof.Partitioned(now):
 		st.PartitionDrops++
-		return
-	}
-	if t.grayRate > 0 && t.rng.Float64() < t.grayRate {
+	case t.grayRate > 0 && t.rng.Float64() < t.grayRate:
 		st.GrayDrops++
-		return
-	}
-	if t.prof.Loss > 0 && t.rng.Float64() < t.prof.Loss {
+	case t.prof.Loss > 0 && t.rng.Float64() < t.prof.Loss:
 		st.Lost++
+	default:
+		d := t.delay
+		if t.prof.Jitter > 0 {
+			d += time.Duration(t.rng.Int63n(int64(t.prof.Jitter)))
+		}
+		t.sim.ScheduleCall(d, t.deliverFn[side], pkt)
 		return
 	}
-	d := t.delay
-	if t.prof.Jitter > 0 {
-		d += time.Duration(t.rng.Int63n(int64(t.prof.Jitter)))
-	}
-	t.sim.ScheduleCall(d, t.deliverFn[side], pkt)
+	t.ends[side].net.release(pkt)
 }
 
 // deliver hands pkt, sent from side, to the peer switch in its schema.
+// pkt's traversal ends here: the peer gets a translated packet from its
+// own pool, and pkt returns to the sending network's.
 func (t *Trunk) deliver(side int, pkt *packet.Packet) {
 	t.stats[side].Delivered++
-	out := t.wire[side].translate(pkt)
+	peer := t.ends[1-side]
+	out := peer.net.NewPacket(t.wire[side].dst)
+	t.wire[side].translate(out, pkt)
+	t.ends[side].net.release(pkt)
 	if t.Tap != nil {
 		t.Tap(side, out)
 	}
-	peer := t.ends[1-side]
 	peer.net.Sw.Inject(peer.port, out)
 }
 
@@ -269,18 +273,16 @@ func newWireXlat(src, dst *packet.Schema) wireXlat {
 	return x
 }
 
-// translate builds the receiving switch's view of pkt: a fresh packet
-// in the destination schema carrying the wire fields plus the
+// translate fills out, a zeroed packet of the destination schema, with
+// the receiving switch's view of pkt: the wire fields plus the
 // simulator bookkeeping that models payload (Size, Priority, Payload).
-// Scratch metadata starts zeroed and the receiver's ingress re-stamps
+// Scratch metadata stays zeroed and the receiver's ingress re-stamps
 // it.
-func (x wireXlat) translate(pkt *packet.Packet) *packet.Packet {
-	out := x.dst.New()
+func (x wireXlat) translate(out, pkt *packet.Packet) {
 	out.Size = pkt.Size
 	out.Priority = pkt.Priority
 	out.Payload = pkt.Payload
 	for _, pr := range x.pairs {
 		out.Set(pr[1], pkt.Get(pr[0]))
 	}
-	return out
 }

@@ -118,6 +118,11 @@ type Packet struct {
 	// Payload carries opaque simulator context (e.g. the netsim flow that
 	// emitted the packet); the data plane never inspects it.
 	Payload any
+
+	// pooled is set while the packet sits in a Pool's freelist, so a
+	// second Put of the same packet is caught instead of handing it
+	// out twice.
+	pooled bool
 }
 
 // New creates a zero-filled packet for this schema.
@@ -179,11 +184,21 @@ func (p *Packet) Reset() {
 	p.Payload = nil
 }
 
-// Pool recycles packets of one schema so per-packet hot paths (traffic
-// generators, benchmarks) run allocation-free in steady state. It is a
-// plain freelist, not a sync.Pool: simulations are single-threaded by
-// design, and a deterministic freelist keeps runs reproducible. Not
-// safe for concurrent use; give each simulation its own Pool.
+// Pool recycles packets of one schema, so paths that make a packet per
+// event run allocation-free in steady state. netsim.Network owns one
+// per switch and returns each packet to it where the packet's life
+// ends: a packet header vector lives for exactly one traversal.
+//
+// Ownership: Get hands the caller a zeroed packet it owns; Put takes it
+// back, and the caller must not touch it afterwards — the next Get may
+// return it, zeroed, for unrelated traffic. Put panics on a packet of
+// another schema and on a packet already in the pool (a double
+// release), both of which would otherwise corrupt live traffic.
+//
+// It is a plain freelist, not a sync.Pool: simulations are
+// single-threaded by design, and a deterministic freelist keeps runs
+// reproducible. The freelist keeps its high-water mark. Not safe for
+// concurrent use; give each simulation its own Pool.
 type Pool struct {
 	schema *Schema
 	free   []*Packet
@@ -192,20 +207,32 @@ type Pool struct {
 // NewPool returns an empty pool producing packets of schema s.
 func NewPool(s *Schema) *Pool { return &Pool{schema: s} }
 
+// Schema returns the schema of the packets the pool holds.
+func (pl *Pool) Schema() *Schema { return pl.schema }
+
 // Get returns a zeroed packet, reusing a returned one when available.
 func (pl *Pool) Get() *Packet {
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
+		p.pooled = false
 		return p
 	}
 	return pl.schema.New()
 }
 
 // Put resets p and returns it to the pool. The caller must not use p
-// afterwards.
+// afterwards. It panics if p belongs to another schema or is already
+// in the pool.
 func (pl *Pool) Put(p *Packet) {
+	if p.schema != pl.schema {
+		panic("packet: Pool.Put of a packet from another schema")
+	}
+	if p.pooled {
+		panic("packet: Pool.Put of a packet already in the pool (double release)")
+	}
 	p.Reset()
+	p.pooled = true
 	pl.free = append(pl.free, p)
 }

@@ -152,3 +152,52 @@ func TestPropertySetGetMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPoolRecyclesZeroed(t *testing.T) {
+	s := NewSchema()
+	f := s.Define("a", 8)
+	pl := NewPool(s)
+	p := pl.Get()
+	p.Set(f, 7)
+	p.Size, p.EgressPort, p.Dropped, p.Payload = 100, 3, true, "x"
+	pl.Put(p)
+	q := pl.Get()
+	if q != p {
+		t.Fatal("Get did not reuse the released packet")
+	}
+	if q.Get(f) != 0 || q.Size != 0 || q.EgressPort != -1 || q.Dropped || q.Payload != nil {
+		t.Fatalf("reused packet not zeroed: %+v", q)
+	}
+	// Get cleared the in-pool mark, so the packet can be released again.
+	pl.Put(q)
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+func TestPoolPutForeignSchemaPanics(t *testing.T) {
+	a, b := NewSchema(), NewSchema()
+	pl := NewPool(a)
+	mustPanic(t, "Put of another schema's packet", func() { pl.Put(b.New()) })
+}
+
+func TestPoolDoublePutPanics(t *testing.T) {
+	s := NewSchema()
+	pl := NewPool(s)
+	p := pl.Get()
+	pl.Put(p)
+	mustPanic(t, "second Put of the same packet", func() { pl.Put(p) })
+	if q := pl.Get(); q != p {
+		t.Fatal("failed double Put changed the freelist")
+	}
+	if q := pl.Get(); q == p {
+		t.Fatal("double Put handed the packet out twice")
+	}
+}

@@ -138,6 +138,12 @@ type Switch struct {
 	// Tx is invoked when a packet leaves a port (after egress pipeline
 	// and serialization). The netsim layer wires this to links.
 	Tx func(portN int, pkt *packet.Packet)
+	// Discard, if set, is invoked once for every packet the switch
+	// drops, after the drop is marked and counted. The switch holds no
+	// reference to the packet afterwards, so the hook may recycle it;
+	// netsim wires it to its packet pool. Left nil, a dropped packet
+	// stays with whoever holds it, with Dropped set.
+	Discard func(pkt *packet.Packet)
 
 	stats Stats
 
@@ -258,7 +264,9 @@ func (sw *Switch) PortTxBytes(portN int) uint64 { return sw.ports[portN].txBytes
 // Inject delivers a packet to the switch on the given ingress port at
 // the current virtual time. Processing of the ingress pipeline happens
 // immediately (atomically with respect to other events); queueing and
-// egress follow on the virtual clock.
+// egress follow on the virtual clock. The switch owns pkt until it
+// hands it to Tx or Discard; when those recycle packets (as netsim
+// does), the caller must not touch pkt after Inject.
 func (sw *Switch) Inject(portN int, pkt *packet.Packet) {
 	sw.stats.RxPackets++
 	pkt.IngressPort = portN
@@ -282,8 +290,7 @@ func (sw *Switch) admit(pkt *packet.Packet) {
 		start = sw.ingressBusyUntil
 	}
 	if backlog := int(start.Sub(now) / slot); backlog >= 64 {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	sw.ingressBusyUntil = start.Add(slot)
@@ -329,8 +336,7 @@ func (sw *Switch) runIngress(pkt *packet.Packet) {
 	sw.runCompiled(env, sw.ingressProg)
 
 	if env.dropped {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	pkt.EgressPort = int(pkt.Get(sw.fEgressSpec))
@@ -343,14 +349,12 @@ func (sw *Switch) runIngress(pkt *packet.Packet) {
 
 func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
 	if portN < 0 || portN >= len(sw.ports) {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	p := sw.ports[portN]
 	if !p.up {
-		pkt.Dropped = true
-		sw.stats.PortDownDrops++
+		sw.drop(pkt, &sw.stats.PortDownDrops)
 		return
 	}
 	if p.n >= len(p.buf) {
@@ -365,15 +369,14 @@ func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
 			}
 		}
 		if victim < 0 {
-			pkt.Dropped = true
-			sw.stats.QueueDrops++
+			sw.drop(pkt, &sw.stats.QueueDrops)
 			return
 		}
-		p.buf[victim].Dropped = true
-		sw.stats.QueueDrops++
+		evicted := p.buf[victim]
 		copy(p.buf[victim:], p.buf[victim+1:p.head+p.n])
 		p.n--
 		p.buf[p.head+p.n] = nil
+		sw.drop(evicted, &sw.stats.QueueDrops)
 	}
 	pkt.Set(sw.fEnqQdepth, uint64(p.n))
 	// Slide the window back to the front when it hits the buffer end.
@@ -423,13 +426,22 @@ func (sw *Switch) drain(portN int) {
 	sw.sim.ScheduleCall(txTime, sw.txDoneFn, pkt)
 }
 
+// drop marks pkt dropped, counts it in counter, and hands it to the
+// Discard hook, if one is set. Every drop site goes through here.
+func (sw *Switch) drop(pkt *packet.Packet, counter *uint64) {
+	pkt.Dropped = true
+	*counter++
+	if sw.Discard != nil {
+		sw.Discard(pkt)
+	}
+}
+
 func (sw *Switch) finishEgress(portN int, pkt *packet.Packet) {
 	pkt.Set(sw.fEgressPort, uint64(portN))
 	env := sw.resetEnv(pkt)
 	sw.runCompiled(env, sw.egressProg)
 	if env.dropped {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	if env.recirculate && pkt.Recirculations < sw.cfg.MaxRecirculations {
